@@ -9,7 +9,7 @@
 //! through [`Message::ChunkAck`] frames (an ack means *ingested*, not
 //! merely received). The stream is strictly ordered — chunk `i+1` is
 //! only ever ingested after chunk `i` — so the bytes fed to the sketch
-//! are identical to the blob job's, and the reply snapshot is
+//! are identical to an inline build's, and the reply snapshot is
 //! bit-identical to an unchunked build by construction. A duplicated
 //! chunk (the `dup@N` network fault, or a retransmitting middlebox) is
 //! rejected by index without touching the sketch; a gap or a
@@ -152,23 +152,43 @@ pub struct ChunkedBuild {
     dups_rejected: u64,
 }
 
-fn malformed(what: &'static str) -> ProtoError {
+pub(crate) fn malformed(what: &'static str) -> ProtoError {
     ProtoError::Wire(WireError::Malformed(what))
 }
 
 impl ChunkedBuild {
-    /// Open an insertion-only build from a
-    /// [`Message::ChunkStartSketch`]'s fields.
-    pub fn sketch(
-        shard: u32,
-        count: u32,
-        params: SketchParams,
-        seed: u64,
-        ship: ShipFormat,
-        fault: Option<Fault>,
-        batch: usize,
-    ) -> Self {
-        ChunkedBuild {
+    /// Open a build from a [`Message::ChunkStartSketch`] or
+    /// [`Message::ChunkStartDynamic`] frame; any other message is a
+    /// typed error.
+    pub fn open(start: Message) -> Result<Self, ProtoError> {
+        let (shard, count, seed, ship, fault, batch, kind) = match start {
+            Message::ChunkStartSketch {
+                shard,
+                chunks,
+                params,
+                seed,
+                ship,
+                fault,
+                batch,
+            } => {
+                let sketch = BuildKind::Sketch(ThresholdSketch::new(params, seed));
+                (shard, chunks, seed, ship, fault, batch, sketch)
+            }
+            Message::ChunkStartDynamic {
+                shard,
+                chunks,
+                params,
+                seed,
+                ship,
+                fault,
+                batch,
+            } => {
+                let sketch = BuildKind::Dynamic(DynamicSketch::new(params, seed));
+                (shard, chunks, seed, ship, fault, batch, sketch)
+            }
+            _ => return Err(malformed("not a chunk stream start frame")),
+        };
+        Ok(ChunkedBuild {
             shard,
             count,
             next: 0,
@@ -176,33 +196,9 @@ impl ChunkedBuild {
             ship,
             fault,
             batch,
-            kind: BuildKind::Sketch(ThresholdSketch::new(params, seed)),
+            kind,
             dups_rejected: 0,
-        }
-    }
-
-    /// Open a dynamic build from a [`Message::ChunkStartDynamic`]'s
-    /// fields.
-    pub fn dynamic(
-        shard: u32,
-        count: u32,
-        params: DynamicSketchParams,
-        seed: u64,
-        ship: ShipFormat,
-        fault: Option<Fault>,
-        batch: usize,
-    ) -> Self {
-        ChunkedBuild {
-            shard,
-            count,
-            next: 0,
-            seed,
-            ship,
-            fault,
-            batch,
-            kind: BuildKind::Dynamic(DynamicSketch::new(params, seed)),
-            dups_rejected: 0,
-        }
+        })
     }
 
     /// The shard this build belongs to.
@@ -223,8 +219,8 @@ impl ChunkedBuild {
     /// Feed one [`Message::JobChunk`]'s fields to the build.
     ///
     /// In-order chunks are ingested through `update_batch` in
-    /// `batch`-sized sub-slices (bit-identical to the blob job's ingest
-    /// order). A chunk whose index is **behind** the cursor is a
+    /// `batch`-sized sub-slices (bit-identical to an inline build's
+    /// ingest order). A chunk whose index is **behind** the cursor is a
     /// duplicate: rejected, counted, sketch untouched. A chunk **ahead**
     /// of the cursor (a gap), a chunk-count mismatch, a wrong shard id,
     /// a payload-kind mismatch, or a chunk past a completed stream is a
@@ -269,8 +265,8 @@ impl ChunkedBuild {
     }
 
     /// Close a complete build: returns the reply [`Message`] plus the
-    /// fault/seed the worker must honor around writing it (mirroring the
-    /// blob-job reply path). Errors if chunks are still outstanding.
+    /// fault/seed the worker must honor around writing it. Errors if
+    /// chunks are still outstanding.
     pub fn finish(self) -> Result<(Message, Option<Fault>, u64), ProtoError> {
         if !self.complete() {
             return Err(malformed("chunk stream finished early"));
@@ -313,27 +309,7 @@ mod tests {
     }
 
     fn drive(plan: ChunkPlan) -> ChunkedBuild {
-        let mut build = match plan.start {
-            Message::ChunkStartSketch {
-                shard,
-                chunks,
-                params,
-                seed,
-                ship,
-                fault,
-                batch,
-            } => ChunkedBuild::sketch(shard, chunks, params, seed, ship, fault, batch),
-            Message::ChunkStartDynamic {
-                shard,
-                chunks,
-                params,
-                seed,
-                ship,
-                fault,
-                batch,
-            } => ChunkedBuild::dynamic(shard, chunks, params, seed, ship, fault, batch),
-            other => panic!("not a chunk start: {other:?}"),
-        };
+        let mut build = ChunkedBuild::open(plan.start).expect("a chunk start frame");
         for msg in plan.chunks {
             match msg {
                 Message::JobChunk {
@@ -411,18 +387,7 @@ mod tests {
         let shard = updates(600);
         let plan = plan_dynamic(1, &shard, 100, params, 5, ShipFormat::Binary, None, 64);
         let replayed: Vec<Message> = plan.chunks.clone();
-        let mut build = match plan.start {
-            Message::ChunkStartDynamic {
-                shard,
-                chunks,
-                params,
-                seed,
-                ship,
-                fault,
-                batch,
-            } => ChunkedBuild::dynamic(shard, chunks, params, seed, ship, fault, batch),
-            other => panic!("not a chunk start: {other:?}"),
-        };
+        let mut build = ChunkedBuild::open(plan.start).expect("a chunk start frame");
         // Deliver each chunk twice, back to back — the dup@N fault's
         // shape. A linear dynamic sketch is NOT idempotent, so if a
         // duplicate slipped through, the snapshot comparison below would
@@ -463,7 +428,16 @@ mod tests {
     #[test]
     fn gaps_mismatches_and_early_finish_are_typed_errors() {
         let params = SketchParams::with_budget(3, 1, 0.5, 60);
-        let mk = || ChunkedBuild::sketch(2, 3, params, 1, ShipFormat::Binary, None, 16);
+        let start = |shard, chunks| Message::ChunkStartSketch {
+            shard,
+            chunks,
+            params,
+            seed: 1,
+            ship: ShipFormat::Binary,
+            fault: None,
+            batch: 16,
+        };
+        let mk = || ChunkedBuild::open(start(2, 3)).unwrap();
         let payload = || ChunkPayload::Edges(edges(10));
 
         // Gap: chunk 1 before chunk 0.
@@ -478,8 +452,10 @@ mod tests {
             .is_err());
         // Early finish.
         assert!(mk().finish().is_err());
+        // Only a start frame opens a build.
+        assert!(ChunkedBuild::open(Message::Shutdown).is_err());
         // Chunk past a completed stream.
-        let mut done = ChunkedBuild::sketch(0, 1, params, 1, ShipFormat::Binary, None, 16);
+        let mut done = ChunkedBuild::open(start(0, 1)).unwrap();
         done.accept(0, 0, 1, payload()).unwrap();
         assert!(done.complete());
         assert!(done.accept(0, 1, 1, payload()).is_err());

@@ -1,20 +1,11 @@
-//! TCP socket workers: the distributed runtime over a transport that
-//! can actually lose things.
+//! The building blocks the dispatcher ([`crate::dispatch`]) runs on,
+//! for pipe and TCP links alike:
 //!
-//! The pipe executor ([`crate::ProcessRunner`]) owns its workers'
-//! stdin/stdout, so the only failure it ever sees is a clean EOF. Real
-//! networks fail differently — silent hangs, half-open connections,
-//! partitions, slow links — and this module rebuilds the same map →
-//! tree-reduce → solve pipeline on primitives that survive them:
-//!
-//! - [`listener::SocketRunner`] — the coordinator: listens on a TCP
-//!   address, accepts workers started as `coverage worker --connect
-//!   HOST:PORT` (or self-spawns them on loopback), and drives the run
-//!   with the same framed protocol ([`crate::proto`]) the pipes use —
-//!   the CVPR framing is transport-agnostic by design.
 //! - [`registry`] — the worker registry: heartbeat-probe liveness
 //!   grading (joining → live → suspect → dead), per-worker RTT stats,
-//!   and admission of late or rejoining workers mid-run.
+//!   and admission of late or rejoining workers mid-run. It is the only
+//!   liveness model: a pipe worker that hangs with its pipes open is as
+//!   silent as a partitioned socket, so EOF alone proves nothing.
 //! - [`chunk`] — chunked shard streaming: bounded `JobChunk` frames
 //!   with per-chunk checksums, strict in-order ingest, and duplicate
 //!   rejection by chunk index, so transfer and ingest overlap.
@@ -26,9 +17,7 @@
 //! self-contained and `merge_from` is associative and commutative.
 
 pub mod chunk;
-pub mod listener;
 pub mod registry;
 
 pub use chunk::{ChunkPlan, ChunkVerdict, ChunkedBuild};
-pub use listener::{DynSocketResult, SocketResult, SocketRunStats, SocketRunner};
 pub use registry::{HeartbeatStats, Liveness, WorkerRegistry, WorkerState, WorkerSummary};

@@ -1,9 +1,10 @@
-//! The coordinator's **worker registry**: one entry per TCP connection,
+//! The coordinator's **worker registry**: one entry per worker link,
 //! tracking identity (id + peer address), liveness state, work in
 //! flight, shards completed, and heartbeat round-trip latency.
 //!
-//! Liveness on a socket cannot mean "pipe EOF": a partitioned or
-//! half-open link delivers no signal at all. The registry therefore
+//! Liveness cannot mean "EOF": a partitioned or half-open link — or a
+//! hung worker on an open pipe — delivers no signal at all. The
+//! registry is therefore the only liveness model for both link kinds: it
 //! grades each worker by the age of its oldest unanswered heartbeat
 //! probe: under `suspect_after` the worker is [`WorkerState::Live`],
 //! between `suspect_after` and `dead_after` it is
@@ -106,13 +107,14 @@ impl HeartbeatStats {
 }
 
 /// A read-only snapshot of one registry entry, surfaced on
-/// [`SocketResult`](crate::net::SocketResult) so tests and operators can
+/// [`SocketResult`](crate::SocketResult) so tests and operators can
 /// see exactly which worker did what.
 #[derive(Clone, Debug)]
 pub struct WorkerSummary {
     /// Registry id (connection order).
     pub id: usize,
-    /// Peer address as reported by the accepted socket.
+    /// Peer address as reported by the accepted socket (`pid N` for a
+    /// pipe link).
     pub addr: String,
     /// Final liveness state.
     pub state: WorkerState,
@@ -196,7 +198,7 @@ impl WorkerRegistry {
     }
 
     /// Whether `id` may be handed a new shard right now.
-    pub fn dispatchable(&self, id: usize) -> bool {
+    pub fn takes_shards(&self, id: usize) -> bool {
         self.entries[id].state == WorkerState::Live
     }
 
@@ -361,7 +363,7 @@ mod tests {
         reg.note_probe(w, 1, t0);
         assert!(reg.note_echo(w, 1, t0 + Duration::from_millis(2)).is_some());
         assert_eq!(reg.state(w), WorkerState::Live);
-        assert!(reg.dispatchable(w));
+        assert!(reg.takes_shards(w));
         // A probe nobody answers.
         reg.note_probe(w, 2, t0);
         assert_eq!(
@@ -373,7 +375,7 @@ mod tests {
             Liveness::TurnedSuspect
         );
         assert_eq!(reg.state(w), WorkerState::Suspect);
-        assert!(!reg.dispatchable(w), "suspect workers get no new shards");
+        assert!(!reg.takes_shards(w), "suspect workers get no new shards");
         assert!(reg.usable(w), "suspect is not dead");
         assert_eq!(
             reg.check_liveness(w, t0 + Duration::from_millis(200), SUSPECT, DEAD),

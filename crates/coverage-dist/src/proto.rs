@@ -1,50 +1,60 @@
-//! The parent↔worker pipe protocol of the subprocess executor.
+//! The coordinator↔worker protocol of the distributed executors.
 //!
-//! [`ProcessRunner`](crate::ProcessRunner) talks to its workers over
-//! plain stdin/stdout pipes with length-prefixed, checksummed message
-//! frames — the same envelope discipline as the snapshot wire format
-//! (`coverage_sketch::wire`), under its own magic so a snapshot frame
-//! can never be confused for a protocol message.
+//! [`ProcessRunner`](crate::ProcessRunner) (stdin/stdout pipes) and
+//! [`SocketRunner`](crate::SocketRunner) (TCP) speak the same
+//! length-prefixed, checksummed message frames — the same envelope
+//! discipline as the snapshot wire format (`coverage_sketch::wire`),
+//! under its own magic so a snapshot frame can never be confused for a
+//! protocol message. The envelope reader and writer ([`read_frame`],
+//! [`write_frame`]) are parameterized by a [`Framing`], so the serve
+//! protocol shares them under its own magic.
 //!
-//! ## Frame layout (version 2)
+//! ## Frame layout (version 3)
 //!
 //! | offset   | size | field                                   |
 //! |----------|------|-----------------------------------------|
 //! | 0        | 4    | magic `b"CVPR"`                         |
-//! | 4        | 2    | protocol version, `u16` LE (currently 2)|
+//! | 4        | 2    | protocol version, `u16` LE (currently 3)|
 //! | 6        | 1    | message kind                            |
 //! | 7        | 1    | reserved (0)                            |
 //! | 8        | 8    | payload length `u64` LE                 |
 //! | 16       | len  | payload                                 |
 //! | 16 + len | 8    | FNV-1a 64 checksum of bytes `0..16+len` |
 //!
-//! Version 2 replaced version 1's boolean `fail` flag in the job
-//! payloads with a generalized fault descriptor (a [`Fault`] code plus
-//! argument) and added the [`Message::Heartbeat`] probe. A frame from
-//! either side of the version fence is reported as a **typed**
-//! [`WireError::UnsupportedVersion`] — an old-version worker can never
-//! look like a hang or a crash. Payloads above [`MAX_FRAME_PAYLOAD`]
-//! are rejected before any allocation.
+//! Version 2 replaced version 1's boolean `fail` flag with a
+//! generalized fault descriptor (a [`Fault`] code plus argument) and
+//! added the [`Message::Heartbeat`] probe. Version 3 removed the blob
+//! job frames (kinds 1 and 2, one frame carrying a whole shard): every
+//! shard now travels as a chunked stream, and a blob kind byte is an
+//! unknown kind. A frame from either side of a version fence is
+//! reported as a **typed** [`WireError::UnsupportedVersion`] — an
+//! old-version worker can never look like a hang or a crash. Payloads
+//! above [`MAX_FRAME_PAYLOAD`] are rejected from the header alone, and
+//! a payload buffer grows only as its bytes arrive, so a lying length
+//! costs what was actually sent.
 //!
 //! ## Conversation
 //!
-//! The parent sends one *job* (a shard of edges or signed updates plus
-//! the sketch parameters) and the worker answers with one *reply*
-//! carrying its local sketch's snapshot, encoded per the job's requested
+//! The coordinator opens a shard with a `ChunkStart*` frame (sketch
+//! parameters, seed, reply encoding, optional worker [`Fault`]) and
+//! streams the shard's edges or signed updates in bounded
+//! [`Message::JobChunk`] frames; the worker acks each chunk once it is
+//! ingested and answers the completed stream with one *reply* carrying
+//! its local sketch's snapshot, encoded per the requested
 //! [`ShipFormat`] (binary frames in deployment; JSON kept for
 //! wire-fidelity comparisons). A [`Message::Heartbeat`] is echoed back
-//! verbatim — the parent's liveness/version probe. A
-//! [`Message::Shutdown`] — or simply closing the pipe — ends the worker.
-//! Jobs carry an optional [`Fault`] for deterministic fault injection:
-//! the worker executes it (crash without replying, hang forever, delay,
-//! or corrupt its reply frame), and the parent observes each through a
-//! different detector — EOF, the deadline reaper, nothing, or the frame
-//! checksum (see `runner.rs`).
+//! verbatim — the coordinator's liveness/version probe. A
+//! [`Message::Shutdown`] — or simply closing the link — ends the worker.
+//! The worker executes a stream's fault at stream completion (crash
+//! without replying, hang forever, delay, or corrupt its reply frame),
+//! and the coordinator observes each through a different detector —
+//! EOF, the deadline reaper, nothing, or the frame checksum (see
+//! `dispatch.rs`).
 
 use std::io::{Read, Write};
 
 use coverage_core::Edge;
-use coverage_sketch::wire::{checksum64, WireReader, WireWriter};
+use coverage_sketch::wire::{checksum64, checksum64_extend, WireReader, WireWriter};
 use coverage_sketch::{
     DynamicSketchParams, DynamicSnapshot, SketchParams, SketchSnapshot, WireError,
 };
@@ -55,18 +65,28 @@ use crate::rounds::ShipFormat;
 
 /// Protocol frame magic (distinct from the snapshot frame magic).
 pub const PROTO_MAGIC: [u8; 4] = *b"CVPR";
-/// Current protocol version. Version 2 generalized the job fault flag
-/// and added the heartbeat probe; version-1 frames are rejected as
-/// typed [`WireError::UnsupportedVersion`] errors.
-pub const PROTO_VERSION: u16 = 2;
+/// Current protocol version. Version 3 removed the blob job frames;
+/// frames of any other version are rejected as typed
+/// [`WireError::UnsupportedVersion`] errors.
+pub const PROTO_VERSION: u16 = 3;
 
 /// Hard cap on a frame's payload length. A length field above this is a
 /// typed wire error detected **before** the payload buffer is allocated,
 /// so a corrupt or hostile length can never balloon parent memory.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 28;
 
-const KIND_JOB_SKETCH: u8 = 1;
-const KIND_JOB_DYNAMIC: u8 = 2;
+/// The envelope of the dist protocol's frames.
+pub const DIST_FRAMING: Framing = Framing {
+    magic: PROTO_MAGIC,
+    version: PROTO_VERSION,
+    max_payload: MAX_FRAME_PAYLOAD as u64,
+};
+
+/// How much of a declared payload length is trusted before any of its
+/// bytes arrive; past this the buffer grows by doubling as data comes.
+const FIRST_PAYLOAD_STEP: usize = 64 * 1024;
+
+// Kinds 1 and 2 were the version-2 blob jobs; they stay unassigned.
 const KIND_REPLY_SKETCH: u8 = 3;
 const KIND_REPLY_DYNAMIC: u8 = 4;
 const KIND_SHUTDOWN: u8 = 5;
@@ -91,23 +111,23 @@ const FAULT_DUP: u8 = 7;
 const CHUNK_EDGES: u8 = 0;
 const CHUNK_UPDATES: u8 = 1;
 
-/// A protocol failure: either the pipe broke or a frame was corrupt.
+/// A protocol failure: either the link broke or a frame was corrupt.
 #[derive(Debug)]
 pub enum ProtoError {
-    /// The underlying pipe failed mid-frame.
+    /// The underlying link (pipe or socket) failed mid-frame.
     Io(std::io::Error),
     /// A frame or its payload failed validation.
     Wire(WireError),
-    /// The pipe closed cleanly between frames (worker exit / EOF).
+    /// The link closed cleanly between frames (worker exit / EOF).
     Eof,
 }
 
 impl std::fmt::Display for ProtoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ProtoError::Io(e) => write!(f, "pipe error: {e}"),
+            ProtoError::Io(e) => write!(f, "link error: {e}"),
             ProtoError::Wire(e) => write!(f, "protocol frame error: {e}"),
-            ProtoError::Eof => write!(f, "pipe closed"),
+            ProtoError::Eof => write!(f, "link closed"),
         }
     }
 }
@@ -129,38 +149,6 @@ impl From<WireError> for ProtoError {
 /// One protocol message.
 #[derive(Clone, Debug)]
 pub enum Message {
-    /// Parent → worker: build an insertion-only sketch over `edges`.
-    JobSketch {
-        /// Sketch parameters for the worker's local sketch.
-        params: SketchParams,
-        /// Shared hash seed (workers must agree to merge).
-        seed: u64,
-        /// How the reply snapshot travels back.
-        ship: ShipFormat,
-        /// Deterministic fault injection: the worker executes this
-        /// fault instead of (or around) replying normally.
-        fault: Option<Fault>,
-        /// Update-batch size (parity with the in-process executors).
-        batch: usize,
-        /// The shard of edges to ingest.
-        edges: Vec<Edge>,
-    },
-    /// Parent → worker: build a dynamic sketch over signed `updates`.
-    JobDynamic {
-        /// Dynamic sketch parameters for the worker's local sketch.
-        params: DynamicSketchParams,
-        /// Shared hash seed (workers must agree to merge).
-        seed: u64,
-        /// How the reply snapshot travels back.
-        ship: ShipFormat,
-        /// Deterministic fault injection: the worker executes this
-        /// fault instead of (or around) replying normally.
-        fault: Option<Fault>,
-        /// Update-batch size (parity with the in-process executors).
-        batch: usize,
-        /// The shard of signed updates to ingest.
-        updates: Vec<SignedEdge>,
-    },
     /// Worker → parent: the local insertion-only sketch's snapshot.
     ReplySketch {
         /// The worker's local snapshot.
@@ -184,10 +172,10 @@ pub enum Message {
         nonce: u64,
     },
     /// Coordinator → worker: open a **chunked** insertion-only shard
-    /// stream. Everything a [`Message::JobSketch`] carries except the
-    /// edges, which follow in `chunks` bounded [`Message::JobChunk`]
-    /// frames — the worker starts ingesting on the first chunk instead
-    /// of waiting for the whole shard.
+    /// stream: the sketch parameters, with the edges following in
+    /// `chunks` bounded [`Message::JobChunk`] frames — the worker
+    /// starts ingesting on the first chunk instead of waiting for the
+    /// whole shard.
     ChunkStartSketch {
         /// Shard index this stream builds (echoed in every chunk/ack).
         shard: u32,
@@ -287,9 +275,9 @@ fn put_fault(w: &mut WireWriter, fault: &Option<Fault>) {
         Some(Fault::Hang) => (FAULT_HANG, 0),
         Some(Fault::Delay(ms)) => (FAULT_DELAY, *ms),
         Some(Fault::CorruptReply) => (FAULT_CORRUPT, 0),
-        // Network faults are executed by the coordinator's connection
-        // wrapper and never ride in a job frame in practice, but the
-        // codec stays total so a round-trip can never panic.
+        // Network faults are executed by the coordinator's link writer
+        // and never ride in a job frame in practice, but the codec
+        // stays total so a round-trip can never panic.
         Some(Fault::DropConn) => (FAULT_DROP, 0),
         Some(Fault::Stall(ms)) => (FAULT_STALL, *ms),
         Some(Fault::DupChunk) => (FAULT_DUP, 0),
@@ -315,7 +303,7 @@ fn get_fault(r: &mut WireReader<'_>) -> Result<Option<Fault>, ProtoError> {
 }
 
 fn put_ship(w: &mut WireWriter, ship: ShipFormat) {
-    // In-memory shipping cannot cross a pipe; the runner maps it to
+    // In-memory shipping cannot cross a link; the runner maps it to
     // binary before dispatch, so only two codes exist on the wire.
     w.put_u8(match ship {
         ShipFormat::Json => SHIP_JSON,
@@ -365,50 +353,6 @@ fn get_u32v(r: &mut WireReader<'_>) -> Result<u32, ProtoError> {
 fn encode_payload(msg: &Message) -> (u8, Vec<u8>) {
     let mut w = WireWriter::new();
     match msg {
-        Message::JobSketch {
-            params,
-            seed,
-            ship,
-            fault,
-            batch,
-            edges,
-        } => {
-            put_base_params(&mut w, params);
-            w.put_u64(*seed);
-            put_ship(&mut w, *ship);
-            put_fault(&mut w, fault);
-            w.put_varint(*batch as u64);
-            w.put_varint(edges.len() as u64);
-            for e in edges {
-                w.put_varint(e.set.0 as u64);
-                w.put_varint(e.element.0);
-            }
-            (KIND_JOB_SKETCH, w.into_bytes())
-        }
-        Message::JobDynamic {
-            params,
-            seed,
-            ship,
-            fault,
-            batch,
-            updates,
-        } => {
-            put_base_params(&mut w, &params.base);
-            w.put_varint(params.levels as u64);
-            w.put_varint(params.rows as u64);
-            w.put_varint(params.row_len as u64);
-            w.put_u64(*seed);
-            put_ship(&mut w, *ship);
-            put_fault(&mut w, fault);
-            w.put_varint(*batch as u64);
-            w.put_varint(updates.len() as u64);
-            for u in updates {
-                w.put_u8(if u.sign() >= 0 { 0 } else { 1 });
-                w.put_varint(u.edge.set.0 as u64);
-                w.put_varint(u.edge.element.0);
-            }
-            (KIND_JOB_DYNAMIC, w.into_bytes())
-        }
         Message::ReplySketch { snapshot, ship } => {
             put_ship(&mut w, *ship);
             let encoded = match ship {
@@ -522,71 +466,6 @@ fn encode_payload(msg: &Message) -> (u8, Vec<u8>) {
 fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, ProtoError> {
     let mut r = WireReader::new(payload);
     let msg = match kind {
-        KIND_JOB_SKETCH => {
-            let params = get_base_params(&mut r)?;
-            let seed = r.get_u64()?;
-            let ship = get_ship(&mut r)?;
-            let fault = get_fault(&mut r)?;
-            let batch = r.get_len()?;
-            let n = r.get_len()?;
-            if n > r.remaining() {
-                return Err(WireError::Malformed("edge count exceeds payload size").into());
-            }
-            let mut edges = Vec::with_capacity(n);
-            for _ in 0..n {
-                let set = u32::try_from(r.get_varint()?)
-                    .map_err(|_| WireError::Malformed("set id exceeds u32"))?;
-                edges.push(Edge::new(set, r.get_varint()?));
-            }
-            Message::JobSketch {
-                params,
-                seed,
-                ship,
-                fault,
-                batch,
-                edges,
-            }
-        }
-        KIND_JOB_DYNAMIC => {
-            let base = get_base_params(&mut r)?;
-            let levels = r.get_len()?;
-            let rows = r.get_len()?;
-            let row_len = r.get_len()?;
-            let params = DynamicSketchParams {
-                base,
-                levels,
-                rows,
-                row_len,
-            };
-            let seed = r.get_u64()?;
-            let ship = get_ship(&mut r)?;
-            let fault = get_fault(&mut r)?;
-            let batch = r.get_len()?;
-            let n = r.get_len()?;
-            if n > r.remaining() {
-                return Err(WireError::Malformed("update count exceeds payload size").into());
-            }
-            let mut updates = Vec::with_capacity(n);
-            for _ in 0..n {
-                let sign = r.get_u8()?;
-                let set = u32::try_from(r.get_varint()?)
-                    .map_err(|_| WireError::Malformed("set id exceeds u32"))?;
-                let edge = Edge::new(set, r.get_varint()?);
-                updates.push(match sign {
-                    0 => SignedEdge::insert(edge),
-                    1 => SignedEdge::delete(edge),
-                    _ => return Err(WireError::Malformed("unknown update sign").into()),
-                });
-            }
-            Message::JobDynamic {
-                params,
-                seed,
-                ship,
-                fault,
-                batch,
-                updates,
-            }
-        }
         KIND_REPLY_SKETCH => {
             let ship = get_ship(&mut r)?;
             let len = r.get_len()?;
@@ -728,28 +607,132 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, ProtoError> {
     Ok(msg)
 }
 
-/// Write one framed message, returning the total bytes put on the pipe.
+/// The envelope of one framed protocol: its magic, its version, and
+/// the cap on a frame's declared payload length.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Framing {
+    /// The four bytes every frame starts with.
+    pub magic: [u8; 4],
+    /// The only version a reader accepts.
+    pub version: u16,
+    /// Largest payload length a header may declare.
+    pub max_payload: u64,
+}
+
+impl Framing {
+    fn header(&self, kind: u8, payload_len: usize) -> [u8; 16] {
+        let mut header = [0u8; 16];
+        header[..4].copy_from_slice(&self.magic);
+        header[4..6].copy_from_slice(&self.version.to_le_bytes());
+        header[6] = kind;
+        header[8..].copy_from_slice(&(payload_len as u64).to_le_bytes());
+        header
+    }
+}
+
+/// Write one frame: header, `payload`, and the checksum trailer folded
+/// over both where they lie. Returns the total bytes written.
+pub fn write_frame(
+    out: &mut impl Write,
+    framing: &Framing,
+    kind: u8,
+    payload: &[u8],
+) -> Result<u64, ProtoError> {
+    let header = framing.header(kind, payload.len());
+    let sum = checksum64_extend(checksum64(&header), payload);
+    write_parts(out, &header, payload, &sum.to_le_bytes())
+}
+
+fn write_parts(
+    out: &mut impl Write,
+    header: &[u8; 16],
+    payload: &[u8],
+    sum: &[u8; 8],
+) -> Result<u64, ProtoError> {
+    out.write_all(header)?;
+    out.write_all(payload)?;
+    out.write_all(sum)?;
+    out.flush()?;
+    Ok(16 + payload.len() as u64 + 8)
+}
+
+/// Read one frame, returning its kind byte, its payload, and the total
+/// bytes consumed.
+///
+/// Returns [`ProtoError::Eof`] when the link closes cleanly *between*
+/// frames; a link that dies mid-frame is an [`ProtoError::Io`] of kind
+/// `UnexpectedEof`, and a frame that fails validation (magic, version,
+/// length cap, checksum) is a [`ProtoError::Wire`]. The payload buffer
+/// grows only as bytes arrive, so a header that lies about its length
+/// commits memory in proportion to what was actually sent.
+pub fn read_frame(
+    input: &mut impl Read,
+    framing: &Framing,
+) -> Result<(u8, Vec<u8>, u64), ProtoError> {
+    let mut header = [0u8; 16];
+    // Distinguish clean EOF (no bytes at all) from a mid-frame cut.
+    let mut got = 0usize;
+    while got < header.len() {
+        match input.read(&mut header[got..])? {
+            0 if got == 0 => return Err(ProtoError::Eof),
+            0 => return Err(mid_frame_eof()),
+            n => got += n,
+        }
+    }
+    if header[0..4] != framing.magic {
+        return Err(WireError::BadMagic.into());
+    }
+    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
+    if version != framing.version {
+        return Err(WireError::UnsupportedVersion { found: version }.into());
+    }
+    let payload_len = u64::from_le_bytes(header[8..16].try_into().unwrap());
+    if payload_len > framing.max_payload {
+        return Err(WireError::Malformed("frame payload exceeds the size cap").into());
+    }
+    let payload_len = usize::try_from(payload_len)
+        .map_err(|_| WireError::Malformed("payload length exceeds the address space"))?;
+    let mut payload = Vec::new();
+    read_payload(input, payload_len, &mut payload)?;
+    let mut sum = [0u8; 8];
+    input.read_exact(&mut sum)?;
+    if checksum64_extend(checksum64(&header), &payload) != u64::from_le_bytes(sum) {
+        return Err(WireError::ChecksumMismatch.into());
+    }
+    Ok((header[6], payload, 16 + payload_len as u64 + 8))
+}
+
+fn mid_frame_eof() -> ProtoError {
+    ProtoError::Io(std::io::Error::new(
+        std::io::ErrorKind::UnexpectedEof,
+        "link closed mid-frame",
+    ))
+}
+
+/// Append exactly `len` bytes from `input` to `buf`, reserving in
+/// doubling steps (first [`FIRST_PAYLOAD_STEP`], never past `len`) so
+/// the buffer's capacity stays within `2 × received + FIRST_PAYLOAD_STEP`.
+fn read_payload(input: &mut impl Read, len: usize, buf: &mut Vec<u8>) -> Result<(), ProtoError> {
+    while buf.len() < len {
+        let step = (len - buf.len()).min(buf.len().max(FIRST_PAYLOAD_STEP));
+        buf.reserve_exact(step);
+        if input.by_ref().take(step as u64).read_to_end(buf)? < step {
+            return Err(mid_frame_eof());
+        }
+    }
+    Ok(())
+}
+
+/// Write one framed message, returning the total bytes put on the link.
 pub fn write_message(out: &mut impl Write, msg: &Message) -> Result<u64, ProtoError> {
     let (kind, payload) = encode_payload(msg);
-    let mut w = WireWriter::new();
-    w.put_bytes(&PROTO_MAGIC);
-    w.put_u16(PROTO_VERSION);
-    w.put_u8(kind);
-    w.put_u8(0);
-    w.put_u64(payload.len() as u64);
-    w.put_bytes(&payload);
-    let frame_body = w.into_bytes();
-    let sum = checksum64(&frame_body);
-    out.write_all(&frame_body)?;
-    out.write_all(&sum.to_le_bytes())?;
-    out.flush()?;
-    Ok(frame_body.len() as u64 + 8)
+    write_frame(out, &DIST_FRAMING, kind, &payload)
 }
 
 /// Write `msg` as a frame with exactly one bit flipped in its payload
 /// (or, for an empty payload, in its checksum), deterministically
 /// positioned by `seed` — the executable [`Fault::CorruptReply`]. The
-/// checksum is computed over the *pristine* body and the flip lands in
+/// checksum is computed over the *pristine* frame and the flip lands in
 /// the payload region (never the header), so the receiver is guaranteed
 /// a typed [`WireError::ChecksumMismatch`] — never silently merged
 /// garbage.
@@ -758,76 +741,23 @@ pub fn write_corrupted_message(
     msg: &Message,
     seed: u64,
 ) -> Result<u64, ProtoError> {
-    let (kind, payload) = encode_payload(msg);
-    let mut w = WireWriter::new();
-    w.put_bytes(&PROTO_MAGIC);
-    w.put_u16(PROTO_VERSION);
-    w.put_u8(kind);
-    w.put_u8(0);
-    w.put_u64(payload.len() as u64);
-    w.put_bytes(&payload);
-    let mut frame_body = w.into_bytes();
-    let mut sum = checksum64(&frame_body).to_le_bytes();
+    let (kind, mut payload) = encode_payload(msg);
+    let header = DIST_FRAMING.header(kind, payload.len());
+    let mut sum = checksum64_extend(checksum64(&header), &payload).to_le_bytes();
     if payload.is_empty() {
         sum[(seed % 8) as usize] ^= 1 << ((seed / 8) % 8);
     } else {
-        let at = 16 + (seed as usize % payload.len());
-        frame_body[at] ^= 1 << ((seed / 7) % 8);
+        let at = seed as usize % payload.len();
+        payload[at] ^= 1 << ((seed / 7) % 8);
     }
-    out.write_all(&frame_body)?;
-    out.write_all(&sum)?;
-    out.flush()?;
-    Ok(frame_body.len() as u64 + 8)
+    write_parts(out, &header, &payload, &sum)
 }
 
-/// Read one framed message, returning it with the total bytes consumed.
-///
-/// Returns [`ProtoError::Eof`] when the pipe closes cleanly *between*
-/// frames (a finished worker); a pipe that dies mid-frame is an
-/// [`ProtoError::Io`], and a frame that fails validation (magic,
-/// version, checksum, payload structure) is a [`ProtoError::Wire`].
+/// Read one framed message, returning it with the total bytes consumed
+/// (see [`read_frame`] for the error taxonomy).
 pub fn read_message(input: &mut impl Read) -> Result<(Message, u64), ProtoError> {
-    let mut header = [0u8; 16];
-    // Distinguish clean EOF (no bytes at all) from a mid-frame cut.
-    let mut got = 0usize;
-    while got < header.len() {
-        match input.read(&mut header[got..])? {
-            0 if got == 0 => return Err(ProtoError::Eof),
-            0 => {
-                return Err(ProtoError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "pipe closed mid-frame",
-                )))
-            }
-            n => got += n,
-        }
-    }
-    if header[0..4] != PROTO_MAGIC {
-        return Err(WireError::BadMagic.into());
-    }
-    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
-    if version != PROTO_VERSION {
-        return Err(WireError::UnsupportedVersion { found: version }.into());
-    }
-    let kind = header[6];
-    let payload_len = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    let payload_len = usize::try_from(payload_len)
-        .map_err(|_| WireError::Malformed("payload length exceeds the address space"))?;
-    if payload_len > MAX_FRAME_PAYLOAD {
-        return Err(WireError::Malformed("frame payload exceeds the size cap").into());
-    }
-    let mut payload = vec![0u8; payload_len];
-    input.read_exact(&mut payload)?;
-    let mut sum = [0u8; 8];
-    input.read_exact(&mut sum)?;
-    let mut body = Vec::with_capacity(16 + payload_len);
-    body.extend_from_slice(&header);
-    body.extend_from_slice(&payload);
-    if checksum64(&body) != u64::from_le_bytes(sum) {
-        return Err(WireError::ChecksumMismatch.into());
-    }
-    let msg = decode_payload(kind, &payload)?;
-    Ok((msg, 16 + payload_len as u64 + 8))
+    let (kind, payload, total) = read_frame(input, &DIST_FRAMING)?;
+    Ok((decode_payload(kind, &payload)?, total))
 }
 
 #[cfg(test)]
@@ -848,92 +778,92 @@ mod tests {
     }
 
     #[test]
-    fn job_sketch_roundtrips() {
-        let msg = Message::JobSketch {
-            params: SketchParams::with_budget(6, 2, 0.5, 100),
-            seed: 42,
-            ship: ShipFormat::Binary,
-            fault: None,
-            batch: 4096,
-            edges: vec![Edge::new(0u32, 7u64), Edge::new(5u32, u64::MAX)],
-        };
-        match roundtrip(&msg) {
-            Message::JobSketch {
-                params,
-                seed,
-                ship,
-                fault,
-                batch,
-                edges,
-            } => {
-                assert_eq!(params, SketchParams::with_budget(6, 2, 0.5, 100));
-                assert_eq!(seed, 42);
-                assert_eq!(ship, ShipFormat::Binary);
-                assert_eq!(fault, None);
-                assert_eq!(batch, 4096);
-                assert_eq!(
-                    edges,
-                    vec![Edge::new(0u32, 7u64), Edge::new(5u32, u64::MAX)]
-                );
-            }
-            other => panic!("wrong message: {other:?}"),
-        }
-    }
-
-    #[test]
     fn every_fault_kind_roundtrips() {
         for fault in [
             Some(Fault::Crash),
             Some(Fault::Hang),
             Some(Fault::Delay(1234)),
             Some(Fault::CorruptReply),
+            Some(Fault::DropConn),
+            Some(Fault::Stall(77)),
+            Some(Fault::DupChunk),
             None,
         ] {
-            let msg = Message::JobSketch {
+            let msg = Message::ChunkStartSketch {
+                shard: 0,
+                chunks: 1,
                 params: SketchParams::with_budget(4, 1, 0.5, 40),
                 seed: 3,
                 ship: ShipFormat::Binary,
                 fault,
                 batch: 16,
-                edges: vec![Edge::new(1u32, 2u64)],
             };
             match roundtrip(&msg) {
-                Message::JobSketch { fault: back, .. } => assert_eq!(back, fault),
+                Message::ChunkStartSketch { fault: back, .. } => assert_eq!(back, fault),
                 other => panic!("wrong message: {other:?}"),
             }
         }
     }
 
     #[test]
-    fn job_dynamic_roundtrips_signs() {
+    fn dynamic_stream_frames_roundtrip_params_fault_and_signs() {
         let params = DynamicSketchParams::new(SketchParams::with_budget(3, 1, 0.5, 50));
-        let msg = Message::JobDynamic {
+        let start = Message::ChunkStartDynamic {
+            shard: 2,
+            chunks: 1,
             params,
             seed: 7,
             ship: ShipFormat::Json,
             fault: Some(Fault::Crash),
             batch: 512,
-            updates: vec![
-                SignedEdge::insert(Edge::new(1u32, 10u64)),
-                SignedEdge::delete(Edge::new(1u32, 10u64)),
-            ],
         };
-        match roundtrip(&msg) {
-            Message::JobDynamic {
+        match roundtrip(&start) {
+            Message::ChunkStartDynamic {
                 params: p,
-                fault,
-                updates,
+                seed,
                 ship,
+                fault,
+                batch,
                 ..
             } => {
                 assert_eq!(p, params);
+                assert_eq!((seed, batch), (7, 512));
                 assert_eq!(fault, Some(Fault::Crash));
                 assert_eq!(ship, ShipFormat::Json);
+            }
+            other => panic!("wrong message: {other:?}"),
+        }
+        let chunk = Message::JobChunk {
+            shard: 2,
+            index: 0,
+            count: 1,
+            payload: ChunkPayload::Updates(vec![
+                SignedEdge::insert(Edge::new(1u32, 10u64)),
+                SignedEdge::delete(Edge::new(1u32, 10u64)),
+            ]),
+        };
+        match roundtrip(&chunk) {
+            Message::JobChunk {
+                payload: ChunkPayload::Updates(updates),
+                ..
+            } => {
                 assert_eq!(updates.len(), 2);
                 assert!(updates[0].sign() > 0);
                 assert!(updates[1].sign() < 0);
             }
             other => panic!("wrong message: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn blob_job_kinds_are_unknown_since_version_3() {
+        for kind in [1u8, 2] {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &DIST_FRAMING, kind, &[0u8; 4]).unwrap();
+            assert!(matches!(
+                read_message(&mut &buf[..]),
+                Err(ProtoError::Wire(WireError::UnknownKind { found })) if found == kind
+            ));
         }
     }
 
@@ -985,11 +915,13 @@ mod tests {
                 chunks,
                 params,
                 seed,
+                ship,
                 fault,
-                ..
+                batch,
             } => {
-                assert_eq!((shard, chunks, seed), (3, 7, 42));
+                assert_eq!((shard, chunks, seed, batch), (3, 7, 42, 4096));
                 assert_eq!(params, SketchParams::with_budget(6, 2, 0.5, 100));
+                assert_eq!(ship, ShipFormat::Binary);
                 assert_eq!(fault, Some(Fault::Delay(5)));
             }
             other => panic!("wrong message: {other:?}"),
@@ -1099,21 +1031,20 @@ mod tests {
         let edges: Vec<Edge> = (0..200u64).map(|e| Edge::new((e % 4) as u32, e)).collect();
         let sketch = ThresholdSketch::from_stream(params, 11, &VecStream::new(4, edges.clone()));
         let messages = vec![
-            Message::JobSketch {
-                params,
-                seed: 42,
-                ship: ShipFormat::Binary,
-                fault: Some(Fault::Delay(3)),
-                batch: 64,
-                edges: edges.clone(),
-            },
-            Message::JobDynamic {
+            Message::ChunkStartDynamic {
+                shard: 1,
+                chunks: 1,
                 params: DynamicSketchParams::new(params),
                 seed: 7,
                 ship: ShipFormat::Json,
-                fault: None,
+                fault: Some(Fault::Delay(3)),
                 batch: 32,
-                updates: vec![SignedEdge::insert(Edge::new(1u32, 2u64))],
+            },
+            Message::JobChunk {
+                shard: 1,
+                index: 0,
+                count: 1,
+                payload: ChunkPayload::Updates(vec![SignedEdge::insert(Edge::new(1u32, 2u64))]),
             },
             Message::ReplySketch {
                 snapshot: SketchSnapshot::of(&sketch),
@@ -1176,13 +1107,11 @@ mod tests {
 
     #[test]
     fn corrupted_writer_output_is_a_typed_checksum_error() {
-        let msg = Message::JobSketch {
-            params: SketchParams::with_budget(4, 1, 0.5, 40),
-            seed: 5,
-            ship: ShipFormat::Binary,
-            fault: None,
-            batch: 16,
-            edges: vec![Edge::new(0u32, 1u64), Edge::new(2u32, 3u64)],
+        let msg = Message::JobChunk {
+            shard: 0,
+            index: 0,
+            count: 1,
+            payload: ChunkPayload::Edges(vec![Edge::new(0u32, 1u64), Edge::new(2u32, 3u64)]),
         };
         for seed in 0u64..32 {
             let mut buf = Vec::new();
@@ -1219,6 +1148,29 @@ mod tests {
             read_message(&mut &header[..]),
             Err(ProtoError::Wire(WireError::Malformed(_)))
         ));
+    }
+
+    #[test]
+    fn a_lying_length_commits_only_the_bytes_that_arrive() {
+        // A header claiming the cap, then 1 KiB, then EOF: a typed
+        // mid-frame truncation, after committing memory for what
+        // arrived rather than for what the header promised.
+        let mut frame = DIST_FRAMING
+            .header(KIND_SHUTDOWN, MAX_FRAME_PAYLOAD)
+            .to_vec();
+        frame.extend(std::iter::repeat_n(7u8, 1024));
+        match read_message(&mut &frame[..]) {
+            Err(ProtoError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("a truncated payload must be a mid-frame cut: {other:?}"),
+        }
+        let mut payload = Vec::new();
+        assert!(read_payload(&mut &frame[16..], MAX_FRAME_PAYLOAD, &mut payload).is_err());
+        assert_eq!(payload.len(), 1024);
+        assert!(
+            payload.capacity() <= 2 * 1024 + FIRST_PAYLOAD_STEP,
+            "capacity {} must track the bytes received",
+            payload.capacity()
+        );
     }
 
     #[test]

@@ -1,30 +1,33 @@
-//! The worker half of the subprocess executor.
+//! The worker half of the distributed executors.
 //!
-//! A worker is the CLI binary re-invoked in its hidden `worker` mode: it
-//! reads framed jobs from stdin ([`proto`](crate::proto)), builds the
-//! requested local sketch over its shard, and writes the snapshot back
-//! on stdout — one reply per job, strictly in order, so the parent can
-//! run a lock-step round without pipe-deadlock risk. The worker holds no
-//! cross-job state: determinism lives entirely in the job (params +
-//! seed + shard), exactly as for the in-process executors.
+//! A worker is the CLI binary re-invoked in its hidden `worker` mode:
+//! it reads framed chunk streams ([`proto`](crate::proto)) from stdin
+//! (pipe links) or from a TCP connection it dialed (`--connect`),
+//! ingests each chunk as it arrives, acks it, and writes the local
+//! sketch's snapshot back when the stream completes — one reply per
+//! shard, strictly in order. The worker holds no cross-shard state:
+//! determinism lives entirely in the stream (params + seed + shard),
+//! exactly as for the in-process executors.
 //!
-//! Fault injection: a job may carry a [`Fault`] the worker executes
-//! faithfully — [`Fault::Crash`] exits the loop without replying (the
-//! parent sees EOF, the same observable as a crashed or killed worker),
-//! [`Fault::Hang`] stalls forever (only the parent's deadline reaper
-//! can detect it), [`Fault::Delay`] sleeps before replying normally,
-//! and [`Fault::CorruptReply`] flips one bit of the reply frame (the
-//! parent's checksum catches it as a typed error). Each triggers the
-//! matching detection/recovery path in
-//! [`ProcessRunner`](crate::ProcessRunner). A [`Message::Heartbeat`] is
-//! echoed back verbatim — the parent's liveness/version probe.
+//! Fault injection: a stream may carry a [`Fault`] the worker executes
+//! faithfully once the last chunk is in — [`Fault::Crash`] exits the
+//! loop without replying (the coordinator sees EOF, the same observable
+//! as a crashed or killed worker), [`Fault::Hang`] stalls forever (only
+//! the coordinator's deadline reaper can detect it), [`Fault::Delay`]
+//! sleeps before replying normally, and [`Fault::CorruptReply`] flips
+//! one bit of the reply frame (the coordinator's checksum catches it as
+//! a typed error). A [`Message::Heartbeat`] is echoed back verbatim —
+//! the coordinator's liveness/version probe.
+//!
+//! A worker whose coordinator has gone — its writes fail with a broken
+//! or reset link, or its input ends mid-frame — has nobody left to
+//! report to and exits 0 without printing; real wire and protocol
+//! errors are still printed and exit 1.
 
-use std::io::{BufReader, BufWriter, Read, Write};
-
-use coverage_sketch::{DynamicSketch, DynamicSnapshot, SketchSnapshot, ThresholdSketch};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 
 use crate::fault::Fault;
-use crate::net::chunk::{ChunkVerdict, ChunkedBuild};
+use crate::net::chunk::{malformed, ChunkVerdict, ChunkedBuild};
 use crate::proto::{read_message, write_corrupted_message, write_message, Message, ProtoError};
 
 /// Execute a job's pre-reply fault, if any. Returns `false` when the
@@ -42,7 +45,7 @@ fn pre_reply_fault(fault: &Option<Fault>) -> bool {
             true
         }
         Some(Fault::CorruptReply) | None => true,
-        // Network faults are executed coordinator-side by the socket
+        // Network faults are executed coordinator-side by the link
         // writer and never ride in job frames; a worker that does see
         // one treats it as no fault (the codec is total either way).
         Some(Fault::DropConn) | Some(Fault::Stall(_)) | Some(Fault::DupChunk) => true,
@@ -62,12 +65,13 @@ fn write_reply(
     }
 }
 
-/// Serve framed jobs from `input` until EOF, shutdown, or an injected
-/// failure. Every job produces exactly one in-order reply on `output`.
+/// Serve framed chunk streams from `input` until EOF, shutdown, or an
+/// injected failure. Every completed stream produces exactly one
+/// in-order reply on `output`.
 ///
 /// Returns `Ok(())` on a clean end (EOF between frames, an explicit
 /// [`Message::Shutdown`], or an injected failure) and the underlying
-/// [`ProtoError`] when the pipe breaks or a frame is corrupt.
+/// [`ProtoError`] when the link breaks or a frame is corrupt.
 pub fn worker_loop(input: &mut impl Read, output: &mut impl Write) -> Result<(), ProtoError> {
     // At most one chunked shard stream is open at a time (the
     // coordinator never pipelines a second job before the reply).
@@ -83,96 +87,18 @@ pub fn worker_loop(input: &mut impl Read, output: &mut impl Write) -> Result<(),
             Err(e) => return Err(e),
         };
         match msg {
-            Message::JobSketch {
-                params,
-                seed,
-                ship,
-                fault,
-                batch,
-                edges,
-            } => {
-                if !pre_reply_fault(&fault) {
-                    // Injected death: leave without replying. The parent
-                    // observes EOF on our stdout, indistinguishable from
-                    // a crash.
-                    return Ok(());
-                }
-                let mut sketch = ThresholdSketch::new(params, seed);
-                for chunk in edges.chunks(batch.max(1)) {
-                    sketch.update_batch(chunk);
-                }
-                let reply = Message::ReplySketch {
-                    snapshot: SketchSnapshot::of(&sketch),
-                    ship,
-                };
-                write_reply(output, &reply, &fault, seed)?;
-            }
-            Message::JobDynamic {
-                params,
-                seed,
-                ship,
-                fault,
-                batch,
-                updates,
-            } => {
-                if !pre_reply_fault(&fault) {
-                    return Ok(());
-                }
-                let mut sketch = DynamicSketch::new(params, seed);
-                for chunk in updates.chunks(batch.max(1)) {
-                    sketch.update_batch(chunk);
-                }
-                let reply = Message::ReplyDynamic {
-                    snapshot: DynamicSnapshot::of(&sketch),
-                    ship,
-                };
-                write_reply(output, &reply, &fault, seed)?;
-            }
             Message::Heartbeat { nonce } => {
                 // Liveness/version probe: echo the nonce verbatim so the
-                // parent can match reply to probe.
+                // coordinator can match reply to probe.
                 write_message(output, &Message::Heartbeat { nonce })?;
             }
-            Message::ChunkStartSketch {
-                shard,
-                chunks,
-                params,
-                seed,
-                ship,
-                fault,
-                batch,
-            } => {
+            start @ (Message::ChunkStartSketch { .. } | Message::ChunkStartDynamic { .. }) => {
                 if chunked.is_some() {
-                    return Err(ProtoError::Wire(coverage_sketch::WireError::Malformed(
-                        "chunk stream opened while one is in progress",
-                    )));
+                    return Err(malformed("chunk stream opened while one is in progress"));
                 }
-                let build = ChunkedBuild::sketch(shard, chunks, params, seed, ship, fault, batch);
+                let build = ChunkedBuild::open(start)?;
                 if build.complete() {
                     // Empty shard: reply immediately.
-                    if !finish_chunked(output, build)? {
-                        return Ok(());
-                    }
-                } else {
-                    chunked = Some(build);
-                }
-            }
-            Message::ChunkStartDynamic {
-                shard,
-                chunks,
-                params,
-                seed,
-                ship,
-                fault,
-                batch,
-            } => {
-                if chunked.is_some() {
-                    return Err(ProtoError::Wire(coverage_sketch::WireError::Malformed(
-                        "chunk stream opened while one is in progress",
-                    )));
-                }
-                let build = ChunkedBuild::dynamic(shard, chunks, params, seed, ship, fault, batch);
-                if build.complete() {
                     if !finish_chunked(output, build)? {
                         return Ok(());
                     }
@@ -192,9 +118,7 @@ pub fn worker_loop(input: &mut impl Read, output: &mut impl Write) -> Result<(),
                         // just completed: dropped like any other replay.
                         continue;
                     }
-                    return Err(ProtoError::Wire(coverage_sketch::WireError::Malformed(
-                        "chunk without an open stream",
-                    )));
+                    return Err(malformed("chunk without an open stream"));
                 };
                 match build.accept(shard, index, count, payload)? {
                     ChunkVerdict::Ingested => {
@@ -219,11 +143,9 @@ pub fn worker_loop(input: &mut impl Read, output: &mut impl Write) -> Result<(),
             Message::ReplySketch { .. }
             | Message::ReplyDynamic { .. }
             | Message::ChunkAck { .. } => {
-                // Replies and acks flow worker → parent only; receiving
-                // one here means the pipes are crossed.
-                return Err(ProtoError::Wire(coverage_sketch::WireError::Malformed(
-                    "worker received a reply message",
-                )));
+                // Replies and acks flow worker → coordinator only;
+                // receiving one here means the links are crossed.
+                return Err(malformed("worker received a reply message"));
             }
         }
     }
@@ -241,15 +163,26 @@ fn finish_chunked(output: &mut impl Write, build: ChunkedBuild) -> Result<bool, 
     Ok(true)
 }
 
-/// Run [`worker_loop`] over this process's stdin/stdout — the body of
-/// the CLI's hidden `worker` subcommand. Returns the process exit code.
-pub fn run_stdio() -> i32 {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut input = BufReader::new(stdin.lock());
-    let mut output = BufWriter::new(stdout.lock());
-    match worker_loop(&mut input, &mut output) {
+/// Whether `e` only says that the coordinator has gone: a write hit a
+/// closed or reset link, or the input ended mid-frame after the
+/// coordinator severed it.
+fn coordinator_gone(e: &ProtoError) -> bool {
+    matches!(e, ProtoError::Io(io) if matches!(
+        io.kind(),
+        ErrorKind::BrokenPipe
+            | ErrorKind::ConnectionReset
+            | ErrorKind::ConnectionAborted
+            | ErrorKind::UnexpectedEof
+    ))
+}
+
+/// The process exit code for a finished [`worker_loop`]: 0 for a clean
+/// end or a vanished coordinator (nobody is left to tell), 1 with the
+/// error printed for anything else.
+fn exit_code(result: Result<(), ProtoError>) -> i32 {
+    match result {
         Ok(()) => 0,
+        Err(e) if coordinator_gone(&e) => 0,
         Err(e) => {
             eprintln!("worker: {e}");
             1
@@ -257,11 +190,20 @@ pub fn run_stdio() -> i32 {
     }
 }
 
+/// Run [`worker_loop`] over this process's stdin/stdout — the body of
+/// the CLI's hidden `worker` subcommand. Returns the process exit code.
+pub fn run_stdio() -> i32 {
+    let stdin = std::io::stdin();
+    let stdout = std::io::stdout();
+    let mut input = BufReader::new(stdin.lock());
+    let mut output = BufWriter::new(stdout.lock());
+    exit_code(worker_loop(&mut input, &mut output))
+}
+
 /// Dial the coordinator at `addr` and run [`worker_loop`] over the TCP
 /// connection — the body of `coverage worker --connect HOST:PORT`.
 /// Returns the process exit code. The framed protocol is byte-identical
-/// to the pipe transport; only the liveness story changes (the
-/// coordinator probes with heartbeats instead of watching for EOF).
+/// to the pipe link's.
 pub fn run_connect(addr: &str) -> i32 {
     let stream = match std::net::TcpStream::connect(addr) {
         Ok(s) => s,
@@ -282,125 +224,111 @@ pub fn run_connect(addr: &str) -> i32 {
     };
     let mut input = BufReader::new(read_half);
     let mut output = BufWriter::new(stream);
-    match worker_loop(&mut input, &mut output) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("worker: {e}");
-            1
-        }
-    }
+    exit_code(worker_loop(&mut input, &mut output))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::chunk::{plan_dynamic, plan_sketch, ChunkPlan};
     use crate::rounds::ShipFormat;
     use coverage_core::Edge;
-    use coverage_sketch::{DynamicSketchParams, SketchParams};
+    use coverage_sketch::{
+        DynamicSketch, DynamicSketchParams, DynamicSnapshot, SketchParams, SketchSnapshot,
+        ThresholdSketch,
+    };
     use coverage_stream::{SignedEdge, VecStream};
 
     fn shard_edges(n: u64) -> Vec<Edge> {
         (0..n).map(|e| Edge::new((e % 5) as u32, e * 7)).collect()
     }
 
-    #[test]
-    fn worker_builds_the_same_sketch_as_inline() {
-        let params = SketchParams::with_budget(5, 2, 0.5, 120);
-        let edges = shard_edges(600);
-        let mut jobs = Vec::new();
-        write_message(
-            &mut jobs,
-            &Message::JobSketch {
-                params,
-                seed: 33,
-                ship: ShipFormat::Binary,
-                fault: None,
-                batch: 128,
-                edges: edges.clone(),
-            },
-        )
-        .unwrap();
-        let mut replies = Vec::new();
-        worker_loop(&mut &jobs[..], &mut replies).unwrap();
-        let (reply, _) = read_message(&mut &replies[..]).unwrap();
-        let inline = ThresholdSketch::from_stream(params, 33, &VecStream::new(5, edges));
-        match reply {
-            Message::ReplySketch { snapshot, .. } => {
-                assert_eq!(snapshot, SketchSnapshot::of(&inline));
-            }
-            other => panic!("wrong reply: {other:?}"),
+    /// Append one shard's chunk stream (start frame, then its chunks).
+    fn write_plan(jobs: &mut Vec<u8>, plan: &ChunkPlan) {
+        write_message(jobs, &plan.start).unwrap();
+        for chunk in &plan.chunks {
+            write_message(jobs, chunk).unwrap();
         }
     }
 
+    /// Run the worker over `jobs` and return its non-ack frames.
+    fn replies(jobs: &[u8]) -> Vec<Message> {
+        let mut out = Vec::new();
+        worker_loop(&mut &jobs[..], &mut out).unwrap();
+        let mut cursor = &out[..];
+        let mut replies = Vec::new();
+        while !cursor.is_empty() {
+            match read_message(&mut cursor).unwrap().0 {
+                Message::ChunkAck { .. } => {}
+                reply => replies.push(reply),
+            }
+        }
+        replies
+    }
+
     #[test]
-    fn worker_answers_jobs_in_order() {
+    fn worker_answers_streams_in_order() {
         let params = SketchParams::with_budget(3, 1, 0.5, 60);
         let mut jobs = Vec::new();
         for seed in [1u64, 2, 3] {
-            write_message(
-                &mut jobs,
-                &Message::JobSketch {
-                    params,
-                    seed,
-                    ship: ShipFormat::Binary,
-                    fault: None,
-                    batch: 64,
-                    edges: shard_edges(100),
-                },
-            )
-            .unwrap();
+            let plan = plan_sketch(
+                seed as u32,
+                &shard_edges(100),
+                40,
+                params,
+                seed,
+                ShipFormat::Binary,
+                None,
+                64,
+            );
+            write_plan(&mut jobs, &plan);
         }
-        let mut replies = Vec::new();
-        worker_loop(&mut &jobs[..], &mut replies).unwrap();
-        let mut cursor = &replies[..];
-        for seed in [1u64, 2, 3] {
-            let (reply, _) = read_message(&mut cursor).unwrap();
-            match reply {
-                Message::ReplySketch { snapshot, .. } => assert_eq!(snapshot.raw_seed, {
-                    coverage_hash::UnitHash::new(seed).seed()
-                }),
+        let seeds: Vec<u64> = replies(&jobs)
+            .into_iter()
+            .map(|reply| match reply {
+                Message::ReplySketch { snapshot, .. } => snapshot.raw_seed,
                 other => panic!("wrong reply: {other:?}"),
-            }
-        }
-        assert!(cursor.is_empty());
+            })
+            .collect();
+        let want: Vec<u64> = [1u64, 2, 3]
+            .iter()
+            .map(|&seed| coverage_hash::UnitHash::new(seed).seed())
+            .collect();
+        assert_eq!(seeds, want);
     }
 
     #[test]
     fn injected_failure_dies_without_reply() {
         let params = SketchParams::with_budget(3, 1, 0.5, 60);
         let mut jobs = Vec::new();
-        write_message(
-            &mut jobs,
-            &Message::JobSketch {
-                params,
-                seed: 1,
-                ship: ShipFormat::Binary,
-                fault: Some(Fault::Crash),
-                batch: 64,
-                edges: shard_edges(50),
-            },
-        )
-        .unwrap();
-        // A second job that would normally be answered.
-        write_message(
-            &mut jobs,
-            &Message::JobSketch {
-                params,
-                seed: 2,
-                ship: ShipFormat::Binary,
-                fault: None,
-                batch: 64,
-                edges: shard_edges(50),
-            },
-        )
-        .unwrap();
-        let mut replies = Vec::new();
-        worker_loop(&mut &jobs[..], &mut replies).unwrap();
-        assert!(replies.is_empty(), "failing worker must not reply");
+        let crash = plan_sketch(
+            0,
+            &shard_edges(50),
+            20,
+            params,
+            1,
+            ShipFormat::Binary,
+            Some(Fault::Crash),
+            64,
+        );
+        write_plan(&mut jobs, &crash);
+        // A second stream that would normally be answered.
+        let next = plan_sketch(
+            1,
+            &shard_edges(50),
+            20,
+            params,
+            2,
+            ShipFormat::Binary,
+            None,
+            64,
+        );
+        write_plan(&mut jobs, &next);
+        assert!(replies(&jobs).is_empty(), "failing worker must not reply");
     }
 
     #[test]
-    fn dynamic_job_roundtrips_through_worker() {
+    fn dynamic_stream_roundtrips_through_worker() {
         let params = DynamicSketchParams::new(SketchParams::with_budget(4, 2, 0.5, 90));
         let updates: Vec<SignedEdge> = (0..300u64)
             .map(|e| {
@@ -413,28 +341,15 @@ mod tests {
             })
             .collect();
         let mut jobs = Vec::new();
-        write_message(
-            &mut jobs,
-            &Message::JobDynamic {
-                params,
-                seed: 19,
-                ship: ShipFormat::Json,
-                fault: None,
-                batch: 77,
-                updates: updates.clone(),
-            },
-        )
-        .unwrap();
-        let mut replies = Vec::new();
-        worker_loop(&mut &jobs[..], &mut replies).unwrap();
-        let (reply, _) = read_message(&mut &replies[..]).unwrap();
+        let plan = plan_dynamic(0, &updates, 128, params, 19, ShipFormat::Json, None, 77);
+        write_plan(&mut jobs, &plan);
         let mut inline = DynamicSketch::new(params, 19);
         inline.update_batch(&updates);
-        match reply {
-            Message::ReplyDynamic { snapshot, .. } => {
-                assert_eq!(snapshot, DynamicSnapshot::of(&inline));
+        match &replies(&jobs)[..] {
+            [Message::ReplyDynamic { snapshot, .. }] => {
+                assert_eq!(*snapshot, DynamicSnapshot::of(&inline));
             }
-            other => panic!("wrong reply: {other:?}"),
+            other => panic!("wrong replies: {other:?}"),
         }
     }
 
@@ -448,53 +363,68 @@ mod tests {
     }
 
     #[test]
-    fn delayed_job_still_replies_identically() {
+    fn delayed_stream_still_replies_identically() {
         let params = SketchParams::with_budget(3, 1, 0.5, 60);
         let edges = shard_edges(80);
-        let replies = |fault| {
+        let output = |fault| {
             let mut jobs = Vec::new();
-            write_message(
-                &mut jobs,
-                &Message::JobSketch {
-                    params,
-                    seed: 4,
-                    ship: ShipFormat::Binary,
-                    fault,
-                    batch: 32,
-                    edges: edges.clone(),
-                },
-            )
-            .unwrap();
+            let plan = plan_sketch(0, &edges, 30, params, 4, ShipFormat::Binary, fault, 32);
+            write_plan(&mut jobs, &plan);
             let mut out = Vec::new();
             worker_loop(&mut &jobs[..], &mut out).unwrap();
             out
         };
         // A short delay changes the timing, never the bytes.
-        assert_eq!(replies(Some(Fault::Delay(5))), replies(None));
+        assert_eq!(output(Some(Fault::Delay(5))), output(None));
     }
 
     #[test]
     fn corrupt_reply_fails_the_parent_checksum() {
         let params = SketchParams::with_budget(3, 1, 0.5, 60);
         let mut jobs = Vec::new();
-        write_message(
-            &mut jobs,
-            &Message::JobSketch {
-                params,
-                seed: 21,
-                ship: ShipFormat::Binary,
-                fault: Some(Fault::CorruptReply),
-                batch: 32,
-                edges: shard_edges(120),
-            },
-        )
-        .unwrap();
-        let mut replies = Vec::new();
-        worker_loop(&mut &jobs[..], &mut replies).unwrap();
-        assert!(!replies.is_empty(), "corrupt replies still travel");
+        let plan = plan_sketch(
+            0,
+            &shard_edges(120),
+            50,
+            params,
+            21,
+            ShipFormat::Binary,
+            Some(Fault::CorruptReply),
+            32,
+        );
+        write_plan(&mut jobs, &plan);
+        let mut out = Vec::new();
+        worker_loop(&mut &jobs[..], &mut out).unwrap();
+        let mut cursor = &out[..];
+        for _ in 0..plan.chunks.len() {
+            assert!(matches!(
+                read_message(&mut cursor).unwrap().0,
+                Message::ChunkAck { .. }
+            ));
+        }
+        assert!(!cursor.is_empty(), "corrupt replies still travel");
         assert!(
-            matches!(read_message(&mut &replies[..]), Err(ProtoError::Wire(_))),
+            matches!(read_message(&mut cursor), Err(ProtoError::Wire(_))),
             "a corrupted reply must be a typed wire error on the parent side"
+        );
+    }
+
+    #[test]
+    fn a_vanished_coordinator_is_a_quiet_exit_but_wire_errors_are_not() {
+        use std::io::Error;
+        for kind in [
+            ErrorKind::BrokenPipe,
+            ErrorKind::ConnectionReset,
+            ErrorKind::UnexpectedEof,
+        ] {
+            assert_eq!(exit_code(Err(ProtoError::Io(Error::from(kind)))), 0);
+        }
+        assert_eq!(exit_code(Err(malformed("crossed links"))), 1);
+        assert_eq!(
+            exit_code(Err(ProtoError::Io(Error::from(
+                ErrorKind::PermissionDenied
+            )))),
+            1
         );
     }
 
@@ -516,19 +446,10 @@ mod tests {
     }
 
     #[test]
-    fn chunked_stream_acks_every_chunk_and_replies_like_a_blob_job() {
+    fn chunked_stream_acks_every_chunk_and_replies_like_an_inline_build() {
         let params = SketchParams::with_budget(5, 2, 0.5, 120);
         let edges = shard_edges(600);
-        let plan = crate::net::chunk::plan_sketch(
-            4,
-            &edges,
-            100,
-            params,
-            33,
-            ShipFormat::Binary,
-            None,
-            128,
-        );
+        let plan = plan_sketch(4, &edges, 100, params, 33, ShipFormat::Binary, None, 128);
         let mut jobs = Vec::new();
         write_message(&mut jobs, &plan.start).unwrap();
         for chunk in &plan.chunks {
@@ -563,16 +484,7 @@ mod tests {
         let updates: Vec<SignedEdge> = (0..300u64)
             .map(|e| SignedEdge::insert(Edge::new((e % 4) as u32, e)))
             .collect();
-        let plan = crate::net::chunk::plan_dynamic(
-            0,
-            &updates,
-            64,
-            params,
-            19,
-            ShipFormat::Binary,
-            None,
-            77,
-        );
+        let plan = plan_dynamic(0, &updates, 64, params, 19, ShipFormat::Binary, None, 77);
         let mut jobs = Vec::new();
         write_message(&mut jobs, &plan.start).unwrap();
         for chunk in &plan.chunks {
@@ -607,7 +519,7 @@ mod tests {
         let params = SketchParams::with_budget(3, 1, 0.5, 60);
         // Gap: a chunk stream whose first frame has index 1.
         let mut jobs = Vec::new();
-        let plan = crate::net::chunk::plan_sketch(
+        let plan = plan_sketch(
             0,
             &shard_edges(100),
             40,
@@ -625,7 +537,7 @@ mod tests {
         // A crash fault on the stream kills the worker after the last
         // chunk, without a reply (acks still travel).
         let mut jobs = Vec::new();
-        let plan = crate::net::chunk::plan_sketch(
+        let plan = plan_sketch(
             0,
             &shard_edges(100),
             40,

@@ -1,9 +1,9 @@
 //! The client↔daemon pipe protocol of the serving subsystem.
 //!
-//! Same envelope discipline as the snapshot wire format
-//! (`coverage_sketch::wire`) and the dist worker protocol
-//! (`coverage_dist::proto`), under its own magic so a serve frame can
-//! never be confused with either.
+//! Same envelope as the dist worker protocol — the frames are read and
+//! written by `coverage_dist::proto::{read_frame, write_frame}` under
+//! [`SERVE_FRAMING`] — with its own magic so a serve frame can never be
+//! confused with a dist frame or a snapshot (`coverage_sketch::wire`).
 //!
 //! ## Frame layout (version 2)
 //!
@@ -32,8 +32,9 @@
 use std::io::{Read, Write};
 
 use coverage_core::SetId;
+use coverage_dist::proto::{read_frame, write_frame, Framing};
 use coverage_dist::{RoundCost, RoundsReport};
-use coverage_sketch::wire::{checksum64, WireReader, WireWriter};
+use coverage_sketch::wire::{WireReader, WireWriter};
 use coverage_sketch::WireError;
 use coverage_stream::SignedEdge;
 
@@ -49,6 +50,13 @@ pub const SERVE_VERSION: u16 = 2;
 /// the payload buffer is allocated so a corrupt or hostile length field
 /// cannot trigger an enormous allocation.
 pub const MAX_SERVE_PAYLOAD: u64 = 1 << 28;
+
+/// The envelope of serve frames.
+pub const SERVE_FRAMING: Framing = Framing {
+    magic: SERVE_MAGIC,
+    version: SERVE_VERSION,
+    max_payload: MAX_SERVE_PAYLOAD,
+};
 
 const KIND_UPDATE: u8 = 1;
 const KIND_QUERY: u8 = 2;
@@ -97,6 +105,16 @@ impl From<std::io::Error> for ProtoError {
 impl From<WireError> for ProtoError {
     fn from(e: WireError) -> Self {
         ProtoError::Wire(e)
+    }
+}
+
+impl From<coverage_dist::ProtoError> for ProtoError {
+    fn from(e: coverage_dist::ProtoError) -> Self {
+        match e {
+            coverage_dist::ProtoError::Io(e) => ProtoError::Io(e),
+            coverage_dist::ProtoError::Wire(e) => ProtoError::Wire(e),
+            coverage_dist::ProtoError::Eof => ProtoError::Eof,
+        }
     }
 }
 
@@ -473,86 +491,27 @@ fn decode_reply(kind: u8, payload: &[u8]) -> Result<Reply, ProtoError> {
     Ok(msg)
 }
 
-fn write_frame(out: &mut impl Write, kind: u8, payload: &[u8]) -> Result<u64, ProtoError> {
-    let mut w = WireWriter::new();
-    w.put_bytes(&SERVE_MAGIC);
-    w.put_u16(SERVE_VERSION);
-    w.put_u8(kind);
-    w.put_u8(0);
-    w.put_u64(payload.len() as u64);
-    w.put_bytes(payload);
-    let frame_body = w.into_bytes();
-    let sum = checksum64(&frame_body);
-    out.write_all(&frame_body)?;
-    out.write_all(&sum.to_le_bytes())?;
-    out.flush()?;
-    Ok(frame_body.len() as u64 + 8)
-}
-
-fn read_frame(input: &mut impl Read) -> Result<(u8, Vec<u8>, u64), ProtoError> {
-    let mut header = [0u8; 16];
-    // Distinguish clean EOF (no bytes at all) from a mid-frame cut.
-    let mut got = 0usize;
-    while got < header.len() {
-        match input.read(&mut header[got..])? {
-            0 if got == 0 => return Err(ProtoError::Eof),
-            0 => {
-                return Err(ProtoError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "pipe closed mid-frame",
-                )))
-            }
-            n => got += n,
-        }
-    }
-    if header[0..4] != SERVE_MAGIC {
-        return Err(WireError::BadMagic.into());
-    }
-    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
-    if version != SERVE_VERSION {
-        return Err(WireError::UnsupportedVersion { found: version }.into());
-    }
-    let kind = header[6];
-    let payload_len = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    if payload_len > MAX_SERVE_PAYLOAD {
-        return Err(WireError::Malformed("payload length exceeds the frame cap").into());
-    }
-    let payload_len = usize::try_from(payload_len)
-        .map_err(|_| WireError::Malformed("payload length exceeds the address space"))?;
-    let mut payload = vec![0u8; payload_len];
-    input.read_exact(&mut payload)?;
-    let mut sum = [0u8; 8];
-    input.read_exact(&mut sum)?;
-    let mut body = Vec::with_capacity(16 + payload_len);
-    body.extend_from_slice(&header);
-    body.extend_from_slice(&payload);
-    if checksum64(&body) != u64::from_le_bytes(sum) {
-        return Err(WireError::ChecksumMismatch.into());
-    }
-    Ok((kind, payload, 16 + payload_len as u64 + 8))
-}
-
 /// Write one framed request; returns the bytes put on the pipe.
 pub fn write_request(out: &mut impl Write, msg: &Request) -> Result<u64, ProtoError> {
     let (kind, payload) = encode_request(msg);
-    write_frame(out, kind, &payload)
+    Ok(write_frame(out, &SERVE_FRAMING, kind, &payload)?)
 }
 
 /// Read one framed request ([`ProtoError::Eof`] on clean hangup).
 pub fn read_request(input: &mut impl Read) -> Result<(Request, u64), ProtoError> {
-    let (kind, payload, total) = read_frame(input)?;
+    let (kind, payload, total) = read_frame(input, &SERVE_FRAMING)?;
     Ok((decode_request(kind, &payload)?, total))
 }
 
 /// Write one framed reply; returns the bytes put on the pipe.
 pub fn write_reply(out: &mut impl Write, msg: &Reply) -> Result<u64, ProtoError> {
     let (kind, payload) = encode_reply(msg);
-    write_frame(out, kind, &payload)
+    Ok(write_frame(out, &SERVE_FRAMING, kind, &payload)?)
 }
 
 /// Read one framed reply ([`ProtoError::Eof`] on clean hangup).
 pub fn read_reply(input: &mut impl Read) -> Result<(Reply, u64), ProtoError> {
-    let (kind, payload, total) = read_frame(input)?;
+    let (kind, payload, total) = read_frame(input, &SERVE_FRAMING)?;
     Ok((decode_reply(kind, &payload)?, total))
 }
 
@@ -754,5 +713,22 @@ mod tests {
             read_request(&mut &cvpr[..]),
             Err(ProtoError::Wire(_))
         ));
+    }
+
+    #[test]
+    fn a_lying_length_is_a_mid_frame_cut_not_an_allocation() {
+        // A header claiming the cap with only 1 KiB behind it: the
+        // shared reader reports the truncation after reading what
+        // arrived, without first committing the claimed 256 MiB.
+        let mut raw = Vec::new();
+        raw.extend_from_slice(&SERVE_MAGIC);
+        raw.extend_from_slice(&SERVE_VERSION.to_le_bytes());
+        raw.extend_from_slice(&[KIND_STATS, 0]);
+        raw.extend_from_slice(&MAX_SERVE_PAYLOAD.to_le_bytes());
+        raw.extend(std::iter::repeat_n(0u8, 1024));
+        match read_request(&mut &raw[..]) {
+            Err(ProtoError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("expected a mid-frame cut, got {other:?}"),
+        }
     }
 }

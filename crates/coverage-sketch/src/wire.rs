@@ -175,7 +175,14 @@ impl std::error::Error for WireError {}
 
 /// FNV-1a 64-bit checksum (the frame trailer).
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    checksum64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a 64-bit checksum over more bytes:
+/// `checksum64_extend(checksum64(a), b)` equals the checksum of `a`
+/// followed by `b`, so a frame's header and payload can be checksummed
+/// where they lie instead of being copied into one buffer.
+pub fn checksum64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

@@ -90,19 +90,19 @@ USAGE:
                      #   then build); the selected cover is identical
                      # --processes P: run the map phase on P real worker
                      #   subprocesses (this binary re-invoked in a hidden
-                     #   `worker` mode, framed binary pipes); same family again
+                     #   `worker` mode; chunked shard streams over its pipes,
+                     #   heartbeat liveness); same family again
                      # --ship: snapshot wire format for the reduce (and the
                      #   worker pipes); binary is the compact framed codec
                      # --sockets P: like --processes, but the workers dial
-                     #   back over loopback TCP (`worker --connect`) with
-                     #   heartbeat liveness and chunked shard streaming
+                     #   back over loopback TCP (`worker --connect`)
                      # --listen ADDR: socket coordinator without self-spawn —
                      #   bind ADDR (e.g. 0.0.0.0:7700) and wait for workers
                      #   started by hand as `coverage worker --connect ADDR`
                      # --fault-plan: deterministic fault injection for the
                      #   multiprocess/socket executors — SPEC is a comma list
                      #   of crash@N, hang@N, delay<MS>@N, corrupt@N, rand<PCT>
-                     #   plus (sockets only) drop@N, stall<MS>@N, dup@N
+                     #   plus drop@N, stall<MS>@N, dup@N
                      #   (e.g. 7:crash@0,drop@2,rand10). The run must
                      #   still produce the fault-free family.
                      # --job-timeout-ms: per-shard deadline before a stalled

@@ -303,3 +303,34 @@ fn bad_usage_exits_nonzero() {
     assert!(!ok);
     assert!(stderr.contains("unknown format"));
 }
+
+#[test]
+fn worker_whose_coordinator_is_gone_exits_quietly() {
+    use coverage_suite::dist::proto::{write_message, Message};
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_coverage"))
+        .arg("worker")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("worker spawns");
+    // The coordinator stops reading: the worker's echo hits a closed
+    // pipe, which must end it with exit 0 and nothing on stderr.
+    drop(child.stdout.take());
+    let mut stdin = child.stdin.take().expect("stdin is piped");
+    write_message(&mut stdin, &Message::Heartbeat { nonce: 7 }).expect("heartbeat is written");
+    drop(stdin);
+    let out = child.wait_with_output().expect("worker exits");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "a vanished coordinator is not a failure"
+    );
+    assert!(
+        out.stderr.is_empty(),
+        "nothing to report to: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}

@@ -5,8 +5,10 @@
 //! the sequential simulation and the in-process [`ParallelRunner`] —
 //! for either pipe ship format, and **including runs where workers are
 //! killed mid-round** and their shards re-dispatched (the re-shard
-//! recovery path), down to the degenerate case where every worker dies
-//! and the parent degrades to building shards inline.
+//! recovery path), under network faults on the pipes (a severed,
+//! stalled, or duplicated chunk stream), down to the degenerate case
+//! where every worker dies and the parent degrades to building shards
+//! inline.
 
 use proptest::prelude::*;
 
@@ -117,11 +119,18 @@ fn total_worker_loss_degrades_to_inline_and_still_matches() {
     let cfg = DistConfig::new(6, 3, 0.3, 31).with_sizing(SketchSizing::Budget(1_000));
     let serial = distributed_k_cover(&stream, &cfg);
     // A single worker that dies on its first job: no survivors, so the
-    // parent must build every remaining shard inline.
+    // parent must build every remaining shard inline — at once, since
+    // nothing can join a pipe run (no 5 s join grace to wait out).
+    let start = std::time::Instant::now();
     let process = ProcessRunner::new(cfg, worker_command(), 1)
         .with_injected_failures([0])
         .run(&stream)
         .expect("run past total worker loss");
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(2),
+        "a pipe run that lost every worker must go inline at once, took {elapsed:?}"
+    );
     assert_eq!(process.family, serial.family);
     assert_eq!(process.workers_lost, 1);
     assert!(
@@ -171,6 +180,34 @@ fn corrupt_reply_is_detected_and_the_shard_requeued() {
     assert!(
         process.proto_faults >= 1,
         "the corrupted frame must surface as a typed protocol fault"
+    );
+}
+
+#[test]
+fn network_faults_on_pipes_keep_the_family_bit_identical() {
+    let stream = generated_stream(2, 30, 3_000, 4, 59);
+    let cfg = DistConfig::new(8, 4, 0.3, 59).with_sizing(SketchSizing::Budget(1_500));
+    let serial = distributed_k_cover(&stream, &cfg);
+    // Pipe links run the same writer as sockets: shard 0's stream is
+    // severed after its first chunk (stdin closed), shard 1's stalls
+    // 300ms without closing, and shard 2's first chunk arrives twice.
+    let plan = FaultPlan::parse("59:drop@0,stall300@1,dup@2").expect("valid fault plan");
+    let process = ProcessRunner::new(cfg, worker_command(), 3)
+        .with_fault_plan(plan)
+        .run(&stream)
+        .expect("run past network faults on pipes");
+    assert_eq!(
+        process.family, serial.family,
+        "network-fault recovery on pipes must not change the selected cover"
+    );
+    assert_eq!(process.merged_edges, serial.merged_edges);
+    assert!(
+        process.workers_lost >= 1,
+        "the dropped stream must cost its worker"
+    );
+    assert!(
+        process.shards_resharded >= 1,
+        "the severed shard must be requeued"
     );
 }
 

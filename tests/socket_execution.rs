@@ -167,6 +167,32 @@ fn stalled_connection_turns_suspect_then_recovers() {
 }
 
 #[test]
+fn a_worker_silent_past_the_dead_threshold_is_counted_lost() {
+    let stream = generated_stream(1, 24, 2_500, 3, 31);
+    let cfg = DistConfig::new(6, 3, 0.3, 31).with_sizing(SketchSizing::Budget(1_200));
+    let serial = distributed_k_cover(&stream, &cfg);
+    // Shard 0's worker sleeps 600ms before replying and answers no probe
+    // meanwhile: the registry declares it dead at 200ms, well before the
+    // job deadline, and that death must show in `workers_lost`.
+    let socket = SocketRunner::new(cfg, worker_command(), 2)
+        .with_fault_plan(FaultPlan::new(31).with_fault(0, Fault::Delay(600)))
+        .with_heartbeats(
+            Duration::from_millis(20),
+            Duration::from_millis(60),
+            Duration::from_millis(200),
+        )
+        .run(&stream)
+        .expect("socket run past a silent worker");
+    assert_eq!(socket.family, serial.family);
+    assert_eq!(socket.stats.deadline_reaps, 0);
+    assert!(socket.stats.shards_requeued >= 1);
+    assert!(
+        socket.stats.workers_lost >= 1,
+        "a worker declared dead by missed heartbeats is a lost worker"
+    );
+}
+
+#[test]
 fn duplicated_chunks_are_rejected_by_index_on_the_linear_sketch() {
     let stream = generated_stream(2, 24, 2_000, 3, 41);
     let dyn_stream = VecDynamicStream::new(24, signed_updates(&stream, 41));
